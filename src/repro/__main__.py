@@ -55,8 +55,8 @@ sweep --axis PATH=V1,V2,... [--axis ...] [--mode grid|ofat]
     statistics, guarded by a sampled re-execution.
 bench [--workloads W1,W2] [--scale S] [--seed N] [--cus N]
       [--repeats N] [--label L] [--baseline FILE] [--wall-gate]
-      [--against TREE-ISH|DIR] [--rounds N] [--timing auto|warp|scan]
-      [--threshold F] [--output FILE] [--profile DIR]
+      [--against TREE-ISH|DIR] [--rounds N] [--threshold F]
+      [--output FILE] [--profile DIR]
       [--sweep-axis PATH=V1,V2,...] [--sweep-workloads W1,W2]
       [--sweep-isas I1,I2] [--sweep-jobs N] [--sweep-repeats N]
     Time the tier-1 suite cell by cell (wall seconds, simulated
@@ -138,12 +138,8 @@ def parse_override_specs(specs) -> dict:
 
 def config_from_args(args: argparse.Namespace):
     """The GpuConfig the CLI flags describe: --cus picks the base
-    machine, --timing pins the scheduler, repeated --override edits
-    dotted paths on top."""
+    machine, repeated --override edits dotted paths on top."""
     config = paper_config() if args.cus == 8 else small_config(args.cus)
-    timing = getattr(args, "timing", None)
-    if timing:
-        config = config.with_overrides({"timing": timing})
     overrides = parse_override_specs(getattr(args, "override", None))
     if overrides:
         config = config.with_overrides(overrides)
@@ -697,11 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["auto", "scalar", "vector"], default=None,
                        help="cycle-engine override for this run "
                             "(default: keep the config's engine)")
-    run_p.add_argument("--timing",
-                       choices=["auto", "warp", "scan"], default=None,
-                       help="timing scheduler: warp = time-warp engine "
-                            "(auto's default), scan = per-instruction "
-                            "reference walk; REPRO_TIMING overrides auto")
 
     trace_p = sub.add_parser(
         "trace", help="simulate one workload with cycle-level tracing")
@@ -729,11 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="hard cap on recorded events")
     trace_p.add_argument("--quiet", "-q", action="store_true",
                          help="skip the stall/occupancy text report")
-    trace_p.add_argument("--timing",
-                         choices=["auto", "warp", "scan"], default=None,
-                         help="timing scheduler (traced runs take the "
-                              "per-cycle walk either way; the knob is "
-                              "honored for reproducibility)")
 
     met_p = sub.add_parser("metrics", help="print the metric registry")
     met_p.add_argument("--match", "-m",
@@ -824,10 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "reference path; vector forces batching "
                               "on replayed cells (execute cells always "
                               "run the reference path)")
-    sweep_p.add_argument("--timing",
-                         choices=["auto", "warp", "scan"], default=None,
-                         help="timing scheduler for every cell (warp = "
-                              "time-warp engine, scan = reference walk)")
     sweep_p.add_argument("--no-verify-replay", action="store_true",
                          help="skip the drift guard's sampled "
                               "re-execution of one replayed cell")
@@ -896,9 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "regression (default 0.25 = 25%%)")
     bench_p.add_argument("--output", "-o", default="BENCH_PR10.json",
                          help="report path (default BENCH_PR10.json)")
-    bench_p.add_argument("--timing",
-                         choices=["auto", "warp", "scan"], default=None,
-                         help="timing scheduler for every timed cell")
     bench_p.add_argument("--profile", metavar="DIR",
                          help="dump per-cell cProfile stats to "
                               "DIR/<workload>_<isa>.prof (skews wall "

@@ -112,7 +112,6 @@ class GpuConfig:
     dram: DramConfig = field(default_factory=DramConfig)
     deadlock_cycles: int = 4_000_000   # abort if no retirement for this long
     engine: str = "auto"               # replay cycle engine: scalar|vector|auto
-    timing: str = "auto"               # timing scheduler: warp|scan|auto
 
     def __post_init__(self) -> None:
         if self.num_cus <= 0:
@@ -122,10 +121,6 @@ class GpuConfig:
         if self.engine not in ("auto", "scalar", "vector"):
             raise ConfigError(
                 f"unknown engine {self.engine!r}: pick auto, scalar, or vector"
-            )
-        if self.timing not in ("auto", "warp", "scan"):
-            raise ConfigError(
-                f"unknown timing {self.timing!r}: pick auto, warp, or scan"
             )
 
     @property
@@ -169,6 +164,12 @@ class GpuConfig:
         naming the problem instead of reaching the timing model.  Unknown
         keys are rejected — a misspelled field must not silently fall
         back to its default.
+
+        One retired key is accepted on purpose: ``timing`` selected
+        between two timing schedulers that produced identical results,
+        and only one walk remains, so ``repro-api/1`` clients that still
+        send ``"timing": "auto" | "warp" | "scan"`` get the same config
+        as without it.  Any other ``timing`` value raises.
         """
         nested = {
             "cu": CuConfig,
@@ -180,6 +181,13 @@ class GpuConfig:
         }
         kwargs: "dict[str, object]" = {}
         for key, value in payload.items():
+            if key == "timing":
+                if value not in _LEGACY_TIMINGS:
+                    raise ConfigError(
+                        f"unknown timing {value!r}: the retired timing "
+                        f"field accepts only auto, warp, or scan"
+                    )
+                continue
             sub = nested.get(key)
             if sub is not None:
                 if not isinstance(value, Mapping):
@@ -255,6 +263,11 @@ class GpuConfig:
             cached = _config_hash(timing_only)
             object.__setattr__(self, "_timing_fingerprint", cached)
         return cached
+
+
+#: values of the retired ``timing`` field :meth:`GpuConfig.from_dict`
+#: still accepts (and drops) from older ``repro-api/1`` payloads.
+_LEGACY_TIMINGS = ("auto", "warp", "scan")
 
 
 def _build_sub(kind: type, name: str, payload: "Mapping[str, object]") -> object:

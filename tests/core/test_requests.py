@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.config import paper_config, small_config
+from repro.common.config import GpuConfig, paper_config, small_config
+from repro.common.errors import ConfigError
 from repro.core import Session
 from repro.core.requests import (
     API_VERSION,
@@ -161,6 +162,20 @@ class TestRejection:
                    "isa": "gcn3", "config_overrides": {"l1x.size": 1}}
         with pytest.raises(RequestError, match="bad config"):
             parse_request(payload)
+
+    def test_legacy_timing_field_dropped(self):
+        """Older repro-api/1 clients send the retired ``timing`` knob:
+        its three old values parse to the same config as without it,
+        and any other value still fails naming the field."""
+        payload = _sample_run().to_payload()
+        legacy = json.loads(json.dumps(payload))
+        legacy["config"]["timing"] = "warp"
+        assert parse_request(legacy) == parse_request(payload)
+        legacy["config"]["timing"] = "bogus"
+        with pytest.raises(RequestError, match="unknown timing 'bogus'"):
+            parse_request(legacy)
+        with pytest.raises(ConfigError, match="timing"):
+            GpuConfig.from_dict(legacy["config"])
 
     def test_not_json(self):
         with pytest.raises(RequestError, match="not valid JSON"):

@@ -17,6 +17,7 @@ import pytest
 from repro.common.config import small_config
 from repro.harness.cache import TraceStore
 from repro.harness.runner import run_workload
+from repro.obs import text_report
 from repro.obs.trace import TraceConfig
 from repro.timing.vector import resolve_engine
 
@@ -24,6 +25,10 @@ SCALE = 0.1
 SEED = 7
 CASES = [("bitonic", "hsail"), ("bitonic", "gcn3"),
          ("comd", "hsail"), ("comd", "gcn3")]
+
+#: cells with heavy waitcnt / scoreboard traffic, so a fully traced
+#: run fills the stall report with many reasons.
+TRACED_CELLS = [("fft", "gcn3"), ("comd", "hsail")]
 
 #: replay engines the run-twice / traced-vs-untraced equivalences must
 #: also hold for (scalar = reference walk, vector = batch decode).
@@ -111,3 +116,22 @@ def test_traced_and_untraced_replay_agree(store, workload, isa, engine):
     assert resolve_engine(engine, replay=True, traced=True) == "scalar"
     assert traced.trace is not None and traced.trace.events
     assert _stats_payload(untraced) == _stats_payload(traced)
+
+
+@pytest.mark.parametrize("workload,isa", TRACED_CELLS)
+def test_traced_report_is_deterministic(workload, isa):
+    """A fully traced run twice: the exact stall accounting and the
+    rendered stall-reason / occupancy / cache report — the user-facing
+    observability surface — must be character-identical."""
+    config = small_config(2)
+    first = run_workload(workload, isa, scale=SCALE, config=config,
+                         seed=SEED, trace=TraceConfig())
+    second = run_workload(workload, isa, scale=SCALE, config=config,
+                          seed=SEED, trace=TraceConfig())
+    assert first.trace is not None and second.trace is not None
+    assert first.trace.stall_cycles
+    assert first.trace.stall_cycles == second.trace.stall_cycles
+    assert _stats_payload(first) == _stats_payload(second)
+    title = f"{workload}/{isa}"
+    assert (text_report(first.trace, stats=first.total, title=title)
+            == text_report(second.trace, stats=second.total, title=title))
